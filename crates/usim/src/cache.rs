@@ -85,9 +85,12 @@ pub struct AssocCache {
     /// `set_mask.count_ones()`, precomputed (see [`DirectMappedCache`]).
     tag_shift: u32,
     ways: usize,
-    /// `sets[set * ways + way]` holds a tag; `lru[set * ways + way]` holds
-    /// a recency stamp.
+    /// `tags[set * ways + way]` holds a tag.
     tags: Vec<u64>,
+    /// Replacement state. Which of its two ways is older is all the LRU
+    /// state a 2-way set has, so `lru[set]` holds that way's index; wider
+    /// sets keep a recency stamp per way in `lru[set * ways + way]`,
+    /// drawn from `clock`.
     lru: Vec<u64>,
     clock: u64,
 }
@@ -103,42 +106,44 @@ impl AssocCache {
         assert!(size_bytes.is_power_of_two() && line_bytes.is_power_of_two());
         let sets = size_bytes / line_bytes / ways as u64;
         assert!(sets.is_power_of_two() && sets > 0, "bad geometry");
+        let lru_len = if ways == 2 { 1 } else { ways } * sets as usize;
         AssocCache {
             line_shift: line_bytes.trailing_zeros(),
             set_mask: sets - 1,
             tag_shift: sets.trailing_zeros(),
             ways,
             tags: vec![INVALID; (sets as usize) * ways],
-            lru: vec![0; (sets as usize) * ways],
+            lru: vec![0; lru_len],
             clock: 0,
         }
     }
 
     /// Accesses `addr`; returns `true` on a hit. Misses fill the LRU way.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.tag_shift;
         let base = set * self.ways;
         // The UltraSPARC I-cache (every block fetch goes through it) is
-        // 2-way; a branch-free probe of both ways beats the generic
-        // way-loop + LRU scan. State evolution is identical: same hit
-        // way refreshed, same LRU victim filled.
+        // 2-way, and a 2-way set's LRU state is one way index: a hit
+        // makes the other way the LRU one, a miss fills the LRU way (way
+        // 0 in an untouched set) and does the same. That beats the
+        // generic way loop and stamp scan.
         if self.ways == 2 {
-            if self.tags[base] == tag {
-                self.lru[base] = self.clock;
-                return true;
-            }
-            if self.tags[base + 1] == tag {
-                self.lru[base + 1] = self.clock;
-                return true;
-            }
-            let victim = base + usize::from(self.lru[base] > self.lru[base + 1]);
-            self.tags[victim] = tag;
-            self.lru[victim] = self.clock;
-            return false;
+            let way = if self.tags[base] == tag {
+                0
+            } else if self.tags[base + 1] == tag {
+                1
+            } else {
+                let victim = self.lru[set];
+                self.tags[base + victim as usize] = tag;
+                self.lru[set] = victim ^ 1;
+                return false;
+            };
+            self.lru[set] = way ^ 1;
+            return true;
         }
+        self.clock += 1;
         for w in 0..self.ways {
             if self.tags[base + w] == tag {
                 self.lru[base + w] = self.clock;
@@ -213,6 +218,12 @@ mod tests {
         assert!(c.access(0)); // both resident
         assert!(c.access(stride));
         assert!(!c.access(2 * stride)); // evicts LRU (0)
+        assert!(!c.access(0));
+        // A hit refreshes its line: touching `2 * stride` makes `0` the
+        // LRU line, so the next conflicting fill evicts `0`, not it.
+        assert!(c.access(2 * stride));
+        assert!(!c.access(stride));
+        assert!(c.access(2 * stride));
         assert!(!c.access(0));
     }
 

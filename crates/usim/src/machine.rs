@@ -6,10 +6,15 @@
 //! arenas (no per-call allocation), and per-block execution counts are a
 //! dense `Vec<u64>`. The run loop is generic over the sink so profiling
 //! event delivery monomorphizes; `&mut dyn ProfSink` still works (the
-//! loop accepts `S: ?Sized`). The `%pic` registers are derived lazily
-//! from the metric totals at observation points rather than updated on
-//! every counted event. Register-file and arena accesses execute
-//! unchecked in release builds — sound because
+//! loop accepts `S: ?Sized`). The simulated clock lives in registers:
+//! hot handlers charge micro-ops, stall cycles and the FP scoreboard to
+//! a local [`Clock`], which is settled into the metric totals only where
+//! something outside the loop can observe them (profiling pseudo-ops,
+//! counter control, setjmp/longjmp, calls, limit checkpoints, samples,
+//! run end and every error return). Likewise the `%pic` registers are
+//! derived lazily from the metric totals at observation points rather
+//! than updated on every counted event. Register-file and arena
+//! accesses execute unchecked in release builds — sound because
 //! [`DecodedProgram::new`] validates every index a micro-op can name,
 //! once, before execution (debug builds keep the checks as
 //! `debug_assert!`s). The cost model is unchanged from the
@@ -23,7 +28,7 @@ use std::time::Instant;
 
 use pp_ir::instr::{BinOp, FBinOp};
 use pp_ir::prof::{CounterStorage, PathTable};
-use pp_ir::{BlockId, HwEvent, Operand, ProcId, ProfOp, Program, Reg};
+use pp_ir::{BlockId, FReg, HwEvent, Operand, ProcId, ProfOp, Program, Reg};
 
 use crate::cache::{AssocCache, DirectMappedCache};
 use crate::config::MachineConfig;
@@ -38,6 +43,33 @@ use crate::Memory;
 
 /// A sampling configuration: interval in cycles plus the stack consumer.
 type Sampler<'s> = (u64, &'s mut dyn FnMut(&[ProcId]));
+
+/// The part of the simulated clock the run loop keeps in registers.
+///
+/// Hot handlers charge it with plain adds, and the `Insts`/`Cycles`
+/// totals lag it by `uops` and `uops + stall` until
+/// [`Machine::settle`] folds it in. Its address is only ever taken by
+/// `#[inline(always)]` helpers, so it never lives in memory: the hot
+/// path has no load-add-store chain through the metric array for the
+/// next clock read to wait on.
+#[derive(Default)]
+struct Clock {
+    /// Micro-ops retired and not yet added to `Insts` and `Cycles`.
+    uops: u64,
+    /// Stall cycles charged on top of them, not yet added to `Cycles`.
+    stall: u64,
+    /// Cycle at which the FP unit accepts its next op. An absolute time,
+    /// so settling leaves it alone.
+    fp_busy: u64,
+}
+
+impl Clock {
+    /// Cycles charged here and not yet settled.
+    #[inline(always)]
+    fn unsettled(&self) -> u64 {
+        self.uops + self.stall
+    }
+}
 
 /// True when the `PP_NO_FUSE` environment variable disables
 /// superinstruction fusion (any value but `0`); the env override exists
@@ -236,7 +268,6 @@ pub struct Machine<'p> {
     metrics: HwMetrics,
     store_q: VecDeque<u64>,
     last_retire: u64,
-    fp_busy: u64,
     frames: Vec<Frame>,
     /// Register arena for the whole call stack; frames hold base offsets.
     regs: Vec<i64>,
@@ -313,7 +344,6 @@ impl<'p> Machine<'p> {
             metrics: HwMetrics::new(),
             store_q: VecDeque::new(),
             last_retire: 0,
-            fp_busy: 0,
             frames: Vec::new(),
             regs: Vec::new(),
             fregs: Vec::new(),
@@ -468,8 +498,19 @@ impl<'p> Machine<'p> {
         self.metrics.get(HwEvent::Insts)
     }
 
+    /// Settled cycles; the run loop adds [`Clock::unsettled`] to this.
     fn now(&self) -> u64 {
         self.metrics.get(HwEvent::Cycles)
+    }
+
+    /// Folds the run loop's [`Clock`] into the metric totals, which then
+    /// hold exactly what an eagerly updated clock would.
+    #[inline(always)]
+    fn settle(&mut self, clk: &mut Clock) {
+        self.count(HwEvent::Insts, clk.uops);
+        self.tick(clk.uops + clk.stall);
+        clk.uops = 0;
+        clk.stall = 0;
     }
 
     /// Charges the cost of an L1 miss: a flat penalty, or an L2 lookup
@@ -498,6 +539,13 @@ impl<'p> Machine<'p> {
     /// A data write through the write-through, no-allocate cache and the
     /// store buffer.
     fn dwrite(&mut self, addr: u64) {
+        self.dwrite_at(addr, 0);
+    }
+
+    /// [`Machine::dwrite`] while `unsettled` cycles are still in the run
+    /// loop's [`Clock`]: the store buffer drains against settled +
+    /// unsettled, the cycle an eager clock would read.
+    fn dwrite_at(&mut self, addr: u64, unsettled: u64) {
         self.count(HwEvent::Stores, 1);
         self.count(HwEvent::DcWrite, 1);
         let hit = self.dcache.access(addr, false);
@@ -514,7 +562,7 @@ impl<'p> Machine<'p> {
                 }
             }
         }
-        let now = self.now();
+        let now = self.now() + unsettled;
         while let Some(&front) = self.store_q.front() {
             if front <= now {
                 self.store_q.pop_front();
@@ -529,20 +577,9 @@ impl<'p> Machine<'p> {
             self.count(HwEvent::StoreBufStall, stall);
             self.store_q.pop_front();
         }
-        let retire = self.now().max(self.last_retire) + drain;
+        let retire = (self.now() + unsettled).max(self.last_retire) + drain;
         self.store_q.push_back(retire);
         self.last_retire = retire;
-    }
-
-    fn fp_issue(&mut self, latency: u64) {
-        self.count(HwEvent::FpOps, 1);
-        let now = self.now();
-        if now < self.fp_busy {
-            let stall = self.fp_busy - now;
-            self.tick(stall);
-            self.count(HwEvent::FpStall, stall);
-        }
-        self.fp_busy = self.now() + latency;
     }
 
     /// Fetches a block's code lines through the I-cache; `addr`/`bytes`
@@ -583,7 +620,7 @@ impl<'p> Machine<'p> {
     }
 
     #[inline]
-    fn freg(&self, r: pp_ir::FReg) -> f64 {
+    fn freg(&self, r: FReg) -> f64 {
         let slot = self.freg_base + r.index();
         debug_assert!(slot < self.fregs.len());
         // SAFETY: see `reg` (decode validates fp registers identically).
@@ -591,7 +628,7 @@ impl<'p> Machine<'p> {
     }
 
     #[inline]
-    fn set_freg(&mut self, r: pp_ir::FReg, v: f64) {
+    fn set_freg(&mut self, r: FReg, v: f64) {
         let slot = self.freg_base + r.index();
         debug_assert!(slot < self.fregs.len());
         // SAFETY: see `reg` (decode validates fp registers identically).
@@ -691,6 +728,114 @@ impl<'p> Machine<'p> {
         let (first_op, addr, bytes) = (bm.first_op, bm.addr, bm.bytes);
         self.ifetch(addr, bytes);
         first_op
+    }
+
+    // ----- hot handlers ----------------------------------------------------
+    // One per primitive micro-op that superinstructions are built from,
+    // so each op's semantics and charges are written once: the plain and
+    // the fused dispatch arms both call these. They charge the run
+    // loop's register-resident `Clock` and read `now` as settled +
+    // unsettled.
+
+    #[inline(always)]
+    fn exec_bin(&mut self, clk: &mut Clock, op: BinOp, dst: Reg, a: Reg, b: Operand) {
+        clk.uops += 1;
+        let v = bin_eval(op, self.reg(a), self.value(b));
+        self.set_reg(dst, v);
+    }
+
+    /// Issues on the FP unit, stalling until the previous op's latency
+    /// has elapsed, then computes.
+    #[inline(always)]
+    fn exec_fbin(&mut self, clk: &mut Clock, op: FBinOp, dst: FReg, a: FReg, b: FReg) {
+        clk.uops += 1;
+        self.count(HwEvent::FpOps, 1);
+        let mut now = self.now() + clk.unsettled();
+        if now < clk.fp_busy {
+            let stall = clk.fp_busy - now;
+            clk.stall += stall;
+            self.count(HwEvent::FpStall, stall);
+            now = clk.fp_busy;
+        }
+        clk.fp_busy = now
+            + match op {
+                FBinOp::Div => self.config.fdiv_latency,
+                _ => self.config.fp_latency,
+            };
+        let (x, y) = (self.freg(a), self.freg(b));
+        let v = match op {
+            FBinOp::Add => x + y,
+            FBinOp::Sub => x - y,
+            FBinOp::Mul => x * y,
+            FBinOp::Div => x / y,
+        };
+        self.set_freg(dst, v);
+    }
+
+    #[inline(always)]
+    fn exec_load(&mut self, clk: &mut Clock, dst: Reg, base: Reg, offset: u64) {
+        clk.uops += 1;
+        let addr = (self.reg(base) as u64).wrapping_add(offset);
+        self.dread(addr);
+        let v = self.mem.read_u64(addr) as i64;
+        self.set_reg(dst, v);
+    }
+
+    #[inline(always)]
+    fn exec_fload(&mut self, clk: &mut Clock, dst: FReg, base: Reg, offset: u64) {
+        clk.uops += 1;
+        let addr = (self.reg(base) as u64).wrapping_add(offset);
+        self.dread(addr);
+        let v = self.mem.read_f64(addr);
+        self.set_freg(dst, v);
+    }
+
+    /// Any store: `bits` is the stored 64-bit pattern.
+    #[inline(always)]
+    fn exec_store(&mut self, clk: &mut Clock, base: Reg, offset: u64, bits: u64) {
+        clk.uops += 1;
+        let addr = (self.reg(base) as u64).wrapping_add(offset);
+        self.dwrite_at(addr, clk.unsettled());
+        self.mem.write_u64(addr, bits);
+    }
+
+    /// Returns the first arena offset of the block entered.
+    #[inline(always)]
+    fn exec_jump(&mut self, d: &DecodedProgram, clk: &mut Clock, target: BlockIdx) -> u32 {
+        clk.uops += 1;
+        self.goto(d, target)
+    }
+
+    /// A conditional branch from the block at `site_key`; returns the
+    /// first arena offset of the block entered.
+    #[inline(always)]
+    fn exec_branch(
+        &mut self,
+        d: &DecodedProgram,
+        clk: &mut Clock,
+        cond: Reg,
+        site_key: u64,
+        taken: BlockIdx,
+        not_taken: BlockIdx,
+    ) -> u32 {
+        clk.uops += 1;
+        self.count(HwEvent::Branches, 1);
+        let is_taken = self.reg(cond) != 0;
+        if !self.bp.predict_and_update(site_key, is_taken) {
+            self.count(HwEvent::BranchMispredict, 1);
+            clk.stall += self.config.mispredict_penalty;
+        }
+        self.goto(d, if is_taken { taken } else { not_taken })
+    }
+
+    /// The branch predictor's key for the live frame's block. Fused
+    /// branches recover it this way rather than carry it: `goto` keeps
+    /// `frame.block` current, and within a block it can't change before
+    /// the terminator.
+    #[inline(always)]
+    fn live_site_key(&self, d: &DecodedProgram) -> u64 {
+        let block = self.frames.last().expect("live frame").block;
+        d.blocks[block as usize].addr
     }
 
     // ----- cold handlers ---------------------------------------------------
@@ -836,6 +981,20 @@ impl<'p> Machine<'p> {
         Ok(hard_stop.min(self.uops().saturating_add(check_interval)))
     }
 
+    /// Interrupts the program for one sample: hands the sampler the call
+    /// stack (outermost first), charges the handler, and returns the
+    /// cycle the next sample is due.
+    #[cold]
+    #[inline(never)]
+    fn take_sample(&mut self, (interval, on_sample): &mut Sampler<'_>) -> u64 {
+        let stack: Vec<ProcId> = self.frames.iter().map(|f| f.proc).collect();
+        on_sample(&stack);
+        let next = self.now() + *interval;
+        // The sample perturbs the program: handler entry plus a stack walk.
+        self.tick(20 + 3 * stack.len() as u64);
+        next
+    }
+
     // ----- the run loop ----------------------------------------------------
 
     /// Executes the program to completion, delivering profiling events to
@@ -933,25 +1092,40 @@ impl<'p> Machine<'p> {
         // point) and read back on return/unwind.
         let mut ip = self.push_frame(d, self.program.entry(), &[], None)?;
         let mut next_sample = sampler.as_ref().map(|(iv, _)| *iv).unwrap_or(u64::MAX);
+        let mut clk = Clock::default();
+
+        // What the loop top runs between two arena slots: the stop check
+        // and, in a sampled run, the sample check, both against settled +
+        // unsettled. Fused handlers run it between their halves too, so a
+        // limit or a sample lands on the same micro-op as in the unfused
+        // arena. Either one settles the clock before anything outside the
+        // loop can see it.
+        macro_rules! boundary {
+            () => {
+                if self.uops() + clk.uops >= stop {
+                    self.settle(&mut clk);
+                    stop = self.limit_checkpoint(hard_stop, check_interval, deadline_at)?;
+                }
+                if SAMPLED && self.now() + clk.unsettled() >= next_sample {
+                    self.settle(&mut clk);
+                    next_sample = self.take_sample(sampler.as_mut().expect("sampling enabled"));
+                }
+            };
+        }
+        // A profiling pseudo-op reads `%pic`, which derives from the
+        // metric totals, so it runs on a settled clock.
+        macro_rules! prof {
+            ($p:expr) => {{
+                self.settle(&mut clk);
+                self.exec_prof(d.prof_ops[$p as usize], sink);
+            }};
+        }
 
         // The program starts with one live frame and only `Ret` can
         // retire the last one, so the loop exits from the `Ret` arm
         // rather than re-testing the frame stack every micro-op.
         'run: loop {
-            if self.uops() >= stop {
-                stop = self.limit_checkpoint(hard_stop, check_interval, deadline_at)?;
-                continue 'run;
-            }
-            if SAMPLED && self.now() >= next_sample {
-                let (interval, on_sample) = sampler.as_mut().expect("sampling enabled");
-                let stack: Vec<ProcId> = self.frames.iter().map(|f| f.proc).collect();
-                on_sample(&stack);
-                next_sample = self.now() + *interval;
-                // The sample perturbs the program: handler entry plus a
-                // stack walk.
-                let cost = 20 + 3 * stack.len() as u64;
-                self.tick(cost);
-            }
+            boundary!();
             let cur = ip as usize;
             ip += 1;
             debug_assert!(cur < d.ops.len(), "ip escaped the micro-op arena");
@@ -962,23 +1136,15 @@ impl<'p> Machine<'p> {
             // `ip` — so `cur` cannot walk off the arena.
             match unsafe { d.ops.get_unchecked(cur) } {
                 MicroOp::Mov { dst, src } => {
-                    self.uop();
+                    clk.uops += 1;
                     let v = self.value(*src);
                     self.set_reg(*dst, v);
                 }
-                MicroOp::Bin { op, dst, a, b } => {
-                    self.uop();
-                    let x = self.reg(*a);
-                    let y = self.value(*b);
-                    self.set_reg(*dst, bin_eval(*op, x, y));
-                }
-                // ----- superinstructions: each replays its constituents'
-                // exact event sequence (same charges, same order), so the
-                // only difference from the unfused arena is one dispatch
-                // instead of two. The branch forms re-derive the predictor
-                // site key from the live frame's block — `goto` keeps
-                // `frame.block` current, and within a block it can't
-                // change before the terminator.
+                MicroOp::Bin { op, dst, a, b } => self.exec_bin(&mut clk, *op, *dst, *a, *b),
+                // ----- superinstructions: each runs its constituents'
+                // handlers in order with the loop top's checks between
+                // them, so the only difference from the unfused arena is
+                // one dispatch instead of two or three.
                 MicroOp::FusedBinBranch {
                     op,
                     dst,
@@ -988,21 +1154,10 @@ impl<'p> Machine<'p> {
                     not_taken,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    // Nothing between the halves reads the clock, so one
-                    // batched charge is identical to two single ones.
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), self.reg(*b));
-                    self.set_reg(*dst, v);
-                    self.count(HwEvent::Branches, 1);
-                    let is_taken = v != 0;
-                    let block = self.frames.last().expect("live frame").block;
-                    let site_key = d.blocks[block as usize].addr;
-                    if !self.bp.predict_and_update(site_key, is_taken) {
-                        self.count(HwEvent::BranchMispredict, 1);
-                        self.tick(self.config.mispredict_penalty);
-                    }
-                    let t = if is_taken { *taken } else { *not_taken };
-                    ip = self.goto(d, t);
+                    self.exec_bin(&mut clk, *op, *dst, *a, Operand::Reg(*b));
+                    boundary!();
+                    let site_key = self.live_site_key(d);
+                    ip = self.exec_branch(d, &mut clk, *dst, site_key, *taken, *not_taken);
                 }
                 MicroOp::FusedBinIBranch {
                     op,
@@ -1013,19 +1168,10 @@ impl<'p> Machine<'p> {
                     not_taken,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), *imm);
-                    self.set_reg(*dst, v);
-                    self.count(HwEvent::Branches, 1);
-                    let is_taken = v != 0;
-                    let block = self.frames.last().expect("live frame").block;
-                    let site_key = d.blocks[block as usize].addr;
-                    if !self.bp.predict_and_update(site_key, is_taken) {
-                        self.count(HwEvent::BranchMispredict, 1);
-                        self.tick(self.config.mispredict_penalty);
-                    }
-                    let t = if is_taken { *taken } else { *not_taken };
-                    ip = self.goto(d, t);
+                    self.exec_bin(&mut clk, *op, *dst, *a, Operand::Imm(*imm));
+                    boundary!();
+                    let site_key = self.live_site_key(d);
+                    ip = self.exec_branch(d, &mut clk, *dst, site_key, *taken, *not_taken);
                 }
                 MicroOp::FusedBinJump {
                     op,
@@ -1035,10 +1181,9 @@ impl<'p> Machine<'p> {
                     target,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), self.reg(*b));
-                    self.set_reg(*dst, v);
-                    ip = self.goto(d, *target);
+                    self.exec_bin(&mut clk, *op, *dst, *a, Operand::Reg(*b));
+                    boundary!();
+                    ip = self.exec_jump(d, &mut clk, *target);
                 }
                 MicroOp::FusedBinIJump {
                     op,
@@ -1048,10 +1193,9 @@ impl<'p> Machine<'p> {
                     target,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), *imm);
-                    self.set_reg(*dst, v);
-                    ip = self.goto(d, *target);
+                    self.exec_bin(&mut clk, *op, *dst, *a, Operand::Imm(*imm));
+                    boundary!();
+                    ip = self.exec_jump(d, &mut clk, *target);
                 }
                 MicroOp::FusedLoadBin {
                     ldst,
@@ -1063,16 +1207,9 @@ impl<'p> Machine<'p> {
                     b,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    self.uops_n(2);
-                    let addr = (self.reg(*base) as u64).wrapping_add(*offset);
-                    self.dread(addr);
-                    let v = self.mem.read_u64(addr) as i64;
-                    self.set_reg(*ldst, v);
-                    // The Bin half reads its operands *after* the load's
-                    // write-back, preserving the dependent forms.
-                    let x = self.reg(*a);
-                    let y = self.reg(*b);
-                    self.set_reg(*dst, bin_eval(*op, x, y));
+                    self.exec_load(&mut clk, *ldst, *base, *offset);
+                    boundary!();
+                    self.exec_bin(&mut clk, *op, *dst, *a, Operand::Reg(*b));
                 }
                 MicroOp::FusedFBinFBin {
                     op1,
@@ -1085,38 +1222,9 @@ impl<'p> Machine<'p> {
                     b2,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    // `fp_issue` reads the current cycle count, so each
-                    // half issues at exactly the cycle it would unfused.
-                    self.uop();
-                    let latency = match op1 {
-                        FBinOp::Div => self.config.fdiv_latency,
-                        _ => self.config.fp_latency,
-                    };
-                    self.fp_issue(latency);
-                    let x = self.freg(*a1);
-                    let y = self.freg(*b1);
-                    let v = match op1 {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                    };
-                    self.set_freg(*dst1, v);
-                    self.uop();
-                    let latency = match op2 {
-                        FBinOp::Div => self.config.fdiv_latency,
-                        _ => self.config.fp_latency,
-                    };
-                    self.fp_issue(latency);
-                    let x = self.freg(*a2);
-                    let y = self.freg(*b2);
-                    let v = match op2 {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                    };
-                    self.set_freg(*dst2, v);
+                    self.exec_fbin(&mut clk, *op1, *dst1, *a1, *b1);
+                    boundary!();
+                    self.exec_fbin(&mut clk, *op2, *dst2, *a2, *b2);
                 }
                 MicroOp::FusedBinIBinI {
                     op1,
@@ -1129,16 +1237,9 @@ impl<'p> Machine<'p> {
                     imm2,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    // Counter updates are wrapping adds and nothing here
-                    // reads the clock, so one batched charge is identical
-                    // to two single ones (`uops_n`'s contract).
-                    self.uops_n(2);
-                    let x = self.reg(*a1);
-                    self.set_reg(*dst1, bin_eval(*op1, x, i64::from(*imm1)));
-                    // The second op reads after the first's write-back,
-                    // so `a2 == dst1` chains behave exactly as unfused.
-                    let x = self.reg(*a2);
-                    self.set_reg(*dst2, bin_eval(*op2, x, i64::from(*imm2)));
+                    self.exec_bin(&mut clk, *op1, *dst1, *a1, Operand::Imm(i64::from(*imm1)));
+                    boundary!();
+                    self.exec_bin(&mut clk, *op2, *dst2, *a2, Operand::Imm(i64::from(*imm2)));
                 }
                 MicroOp::FusedBinRBinI {
                     op1,
@@ -1151,11 +1252,9 @@ impl<'p> Machine<'p> {
                     imm2,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    self.uops_n(2);
-                    let v = bin_eval(*op1, self.reg(*a1), self.reg(*b1));
-                    self.set_reg(*dst1, v);
-                    let x = self.reg(*a2);
-                    self.set_reg(*dst2, bin_eval(*op2, x, i64::from(*imm2)));
+                    self.exec_bin(&mut clk, *op1, *dst1, *a1, Operand::Reg(*b1));
+                    boundary!();
+                    self.exec_bin(&mut clk, *op2, *dst2, *a2, Operand::Imm(i64::from(*imm2)));
                 }
                 MicroOp::FusedBinIBinR {
                     op1,
@@ -1168,11 +1267,9 @@ impl<'p> Machine<'p> {
                     b2,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    self.uops_n(2);
-                    let x = self.reg(*a1);
-                    self.set_reg(*dst1, bin_eval(*op1, x, i64::from(*imm1)));
-                    let v = bin_eval(*op2, self.reg(*a2), self.reg(*b2));
-                    self.set_reg(*dst2, v);
+                    self.exec_bin(&mut clk, *op1, *dst1, *a1, Operand::Imm(i64::from(*imm1)));
+                    boundary!();
+                    self.exec_bin(&mut clk, *op2, *dst2, *a2, Operand::Reg(*b2));
                 }
                 MicroOp::FusedFBin3 {
                     op1,
@@ -1189,29 +1286,11 @@ impl<'p> Machine<'p> {
                     b3,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    // `fp_issue` reads the clock, so each link charges its
-                    // own micro-op before issuing — no batching here.
-                    for (op, dst, a, b) in [
-                        (op1, dst1, a1, b1),
-                        (op2, dst2, a2, b2),
-                        (op3, dst3, a3, b3),
-                    ] {
-                        self.uop();
-                        let latency = match op {
-                            FBinOp::Div => self.config.fdiv_latency,
-                            _ => self.config.fp_latency,
-                        };
-                        self.fp_issue(latency);
-                        let x = self.freg(*a);
-                        let y = self.freg(*b);
-                        let v = match op {
-                            FBinOp::Add => x + y,
-                            FBinOp::Sub => x - y,
-                            FBinOp::Mul => x * y,
-                            FBinOp::Div => x / y,
-                        };
-                        self.set_freg(*dst, v);
-                    }
+                    self.exec_fbin(&mut clk, *op1, *dst1, *a1, *b1);
+                    boundary!();
+                    self.exec_fbin(&mut clk, *op2, *dst2, *a2, *b2);
+                    boundary!();
+                    self.exec_fbin(&mut clk, *op3, *dst3, *a3, *b3);
                 }
                 MicroOp::FusedFLoadFBin {
                     ldst,
@@ -1223,27 +1302,9 @@ impl<'p> Machine<'p> {
                     b,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    // The only clock read (`fp_issue`) happens after both
-                    // micro-ops complete unfused, so batching is exact.
-                    self.uops_n(2);
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    self.dread(addr);
-                    let v = self.mem.read_f64(addr);
-                    self.set_freg(*ldst, v);
-                    let latency = match op {
-                        FBinOp::Div => self.config.fdiv_latency,
-                        _ => self.config.fp_latency,
-                    };
-                    self.fp_issue(latency);
-                    let x = self.freg(*a);
-                    let y = self.freg(*b);
-                    let v = match op {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                    };
-                    self.set_freg(*dst, v);
+                    self.exec_fload(&mut clk, *ldst, *base, u64::from(*offset));
+                    boundary!();
+                    self.exec_fbin(&mut clk, *op, *dst, *a, *b);
                 }
                 MicroOp::FusedFBinFLoad {
                     op,
@@ -1255,28 +1316,9 @@ impl<'p> Machine<'p> {
                     offset,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    // `fp_issue` reads the clock between the halves, so
-                    // each charges separately.
-                    self.uop();
-                    let latency = match op {
-                        FBinOp::Div => self.config.fdiv_latency,
-                        _ => self.config.fp_latency,
-                    };
-                    self.fp_issue(latency);
-                    let x = self.freg(*a);
-                    let y = self.freg(*b);
-                    let v = match op {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                    };
-                    self.set_freg(*dst, v);
-                    self.uop();
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    self.dread(addr);
-                    let v = self.mem.read_f64(addr);
-                    self.set_freg(*ldst, v);
+                    self.exec_fbin(&mut clk, *op, *dst, *a, *b);
+                    boundary!();
+                    self.exec_fload(&mut clk, *ldst, *base, u64::from(*offset));
                 }
                 MicroOp::FusedBinILoad {
                     op,
@@ -1288,15 +1330,9 @@ impl<'p> Machine<'p> {
                     offset,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    self.uops_n(2);
-                    let x = self.reg(*a);
-                    self.set_reg(*dst, bin_eval(*op, x, i64::from(*imm)));
-                    // The load reads `base` after the bin's write-back —
-                    // the `base == dst` index-then-load chain is exact.
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    self.dread(addr);
-                    let v = self.mem.read_u64(addr) as i64;
-                    self.set_reg(*ldst, v);
+                    self.exec_bin(&mut clk, *op, *dst, *a, Operand::Imm(i64::from(*imm)));
+                    boundary!();
+                    self.exec_load(&mut clk, *ldst, *base, u64::from(*offset));
                 }
                 MicroOp::FusedBinStoreR {
                     op,
@@ -1308,15 +1344,10 @@ impl<'p> Machine<'p> {
                     offset,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    // `dwrite` reads the clock, but only after both
-                    // micro-ops would have charged unfused — batch.
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), self.reg(*b));
-                    self.set_reg(*dst, v);
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    let v = self.reg(*src);
-                    self.dwrite(addr);
-                    self.mem.write_u64(addr, v as u64);
+                    self.exec_bin(&mut clk, *op, *dst, *a, Operand::Reg(*b));
+                    boundary!();
+                    let v = self.reg(*src) as u64;
+                    self.exec_store(&mut clk, *base, u64::from(*offset), v);
                 }
                 MicroOp::FusedStoreRJump {
                     src,
@@ -1325,107 +1356,67 @@ impl<'p> Machine<'p> {
                     target,
                 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    // `dwrite` reads the clock *between* the halves here
-                    // (store first), so each charges separately.
-                    self.uop();
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    let v = self.reg(*src);
-                    self.dwrite(addr);
-                    self.mem.write_u64(addr, v as u64);
-                    self.uop();
-                    ip = self.goto(d, *target);
+                    let v = self.reg(*src) as u64;
+                    self.exec_store(&mut clk, *base, u64::from(*offset), v);
+                    boundary!();
+                    ip = self.exec_jump(d, &mut clk, *target);
                 }
                 MicroOp::FusedProfProf { p1, p2 } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    // Profiling semantics replay strictly in order; each
-                    // pseudo-op does its own (clock-reading) accounting.
-                    let op = d.prof_ops[*p1 as usize];
-                    self.exec_prof(op, sink);
-                    let op = d.prof_ops[*p2 as usize];
-                    self.exec_prof(op, sink);
+                    prof!(*p1);
+                    boundary!();
+                    prof!(*p2);
                 }
                 MicroOp::FusedProfJump { p, target } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    let op = d.prof_ops[*p as usize];
-                    self.exec_prof(op, sink);
-                    self.uop();
-                    ip = self.goto(d, *target);
+                    prof!(*p);
+                    boundary!();
+                    ip = self.exec_jump(d, &mut clk, *target);
                 }
                 MicroOp::FusedBinIProf { op, dst, a, imm, p } => {
                     sink.obs_counter("dispatch.fused_hit", 1);
-                    self.uop();
-                    let x = self.reg(*a);
-                    self.set_reg(*dst, bin_eval(*op, x, i64::from(*imm)));
-                    let pop = d.prof_ops[*p as usize];
-                    self.exec_prof(pop, sink);
+                    self.exec_bin(&mut clk, *op, *dst, *a, Operand::Imm(i64::from(*imm)));
+                    boundary!();
+                    prof!(*p);
                 }
                 MicroOp::Load { dst, base, offset } => {
-                    self.uop();
-                    let addr = (self.reg(*base) as u64).wrapping_add(*offset);
-                    self.dread(addr);
-                    let v = self.mem.read_u64(addr) as i64;
-                    self.set_reg(*dst, v);
+                    self.exec_load(&mut clk, *dst, *base, *offset);
                 }
                 MicroOp::StoreR { src, base, offset } => {
-                    self.uop();
-                    let addr = (self.reg(*base) as u64).wrapping_add(*offset);
-                    let v = self.reg(*src);
-                    self.dwrite(addr);
-                    self.mem.write_u64(addr, v as u64);
+                    let v = self.reg(*src) as u64;
+                    self.exec_store(&mut clk, *base, *offset, v);
                 }
                 MicroOp::StoreI { imm, base, offset } => {
-                    self.uop();
-                    let addr = (self.reg(*base) as u64).wrapping_add(*offset);
-                    self.dwrite(addr);
-                    self.mem.write_u64(addr, *imm as u64);
+                    self.exec_store(&mut clk, *base, *offset, *imm as u64);
                 }
                 MicroOp::FConst { dst, value } => {
-                    self.uop();
+                    clk.uops += 1;
                     self.set_freg(*dst, *value);
                 }
-                MicroOp::FBin { op, dst, a, b } => {
-                    self.uop();
-                    let latency = match op {
-                        FBinOp::Div => self.config.fdiv_latency,
-                        _ => self.config.fp_latency,
-                    };
-                    self.fp_issue(latency);
-                    let x = self.freg(*a);
-                    let y = self.freg(*b);
-                    let v = match op {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                    };
-                    self.set_freg(*dst, v);
-                }
+                MicroOp::FBin { op, dst, a, b } => self.exec_fbin(&mut clk, *op, *dst, *a, *b),
                 MicroOp::FLoad { dst, base, offset } => {
-                    self.uop();
-                    let addr = (self.reg(*base) as u64).wrapping_add(*offset);
-                    self.dread(addr);
-                    let v = self.mem.read_f64(addr);
-                    self.set_freg(*dst, v);
+                    self.exec_fload(&mut clk, *dst, *base, *offset);
                 }
                 MicroOp::FStore { src, base, offset } => {
-                    self.uop();
-                    let addr = (self.reg(*base) as u64).wrapping_add(*offset);
-                    let v = self.freg(*src);
-                    self.dwrite(addr);
-                    self.mem.write_f64(addr, v);
+                    let v = self.freg(*src).to_bits();
+                    self.exec_store(&mut clk, *base, *offset, v);
                 }
                 MicroOp::FToI { dst, src } => {
-                    self.uop();
+                    clk.uops += 1;
                     let v = self.freg(*src);
                     self.set_reg(*dst, v as i64);
                 }
                 MicroOp::IToF { dst, src } => {
-                    self.uop();
+                    clk.uops += 1;
                     let v = self.reg(*src);
                     self.set_freg(*dst, v as f64);
                 }
+                // A call settles, its own micro-op included, before the
+                // frame push: the push can fail, and an error return must
+                // leave the totals settled.
                 MicroOp::Call { callee, args, ret } => {
-                    self.uop();
+                    clk.uops += 1;
+                    self.settle(&mut clk);
                     self.count(HwEvent::Calls, 1);
                     self.frames.last_mut().expect("live frame").ip = ip;
                     ip = self.call_with(d, *callee, d.args(*args), *ret)?;
@@ -1436,7 +1427,8 @@ impl<'p> Machine<'p> {
                     ret,
                     ic,
                 } => {
-                    self.uop();
+                    clk.uops += 1;
+                    self.settle(&mut clk);
                     self.count(HwEvent::Calls, 1);
                     let v = self.reg(*target);
                     let key = (v as u64).wrapping_add(1);
@@ -1461,51 +1453,44 @@ impl<'p> Machine<'p> {
                 // The counter-control and non-local-return ops sit in the
                 // cold tail of the meta-profile (every one of them is
                 // below 0.1% of dynamic dispatches); their handlers are
-                // outlined so the hot loop's code stays compact.
+                // outlined so the hot loop's code stays compact. They
+                // read or rewrite the counters, or unwind (which can
+                // fail), so they run on a settled clock.
                 MicroOp::SetPcr { pic0, pic1 } => {
                     sink.obs_counter("dispatch.cold_taken", 1);
+                    self.settle(&mut clk);
                     self.exec_setpcr(*pic0, *pic1);
                 }
                 MicroOp::RdPic { dst } => {
                     sink.obs_counter("dispatch.cold_taken", 1);
+                    self.settle(&mut clk);
                     self.exec_rdpic(*dst);
                 }
                 MicroOp::WrPic { src } => {
                     sink.obs_counter("dispatch.cold_taken", 1);
+                    self.settle(&mut clk);
                     self.exec_wrpic(*src);
                 }
                 MicroOp::Setjmp { dst } => {
                     sink.obs_counter("dispatch.cold_taken", 1);
+                    self.settle(&mut clk);
                     self.exec_setjmp(*dst, ip);
                 }
                 MicroOp::Longjmp { token } => {
                     sink.obs_counter("dispatch.cold_taken", 1);
+                    self.settle(&mut clk);
                     ip = self.exec_longjmp(d, *token, sink)?;
                 }
-                MicroOp::Prof(i) => {
-                    let op = d.prof_ops[*i as usize];
-                    self.exec_prof(op, sink);
-                }
-                MicroOp::Nop => self.uop(),
-                MicroOp::Jump { target } => {
-                    self.uop();
-                    ip = self.goto(d, *target);
-                }
+                MicroOp::Prof(i) => prof!(*i),
+                MicroOp::Nop => clk.uops += 1,
+                MicroOp::Jump { target } => ip = self.exec_jump(d, &mut clk, *target),
                 MicroOp::Branch {
                     cond,
                     taken,
                     not_taken,
                     site_key,
                 } => {
-                    self.uop();
-                    self.count(HwEvent::Branches, 1);
-                    let is_taken = self.reg(*cond) != 0;
-                    if !self.bp.predict_and_update(*site_key, is_taken) {
-                        self.count(HwEvent::BranchMispredict, 1);
-                        self.tick(self.config.mispredict_penalty);
-                    }
-                    let t = if is_taken { *taken } else { *not_taken };
-                    ip = self.goto(d, t);
+                    ip = self.exec_branch(d, &mut clk, *cond, *site_key, *taken, *not_taken);
                 }
                 MicroOp::Switch {
                     sel,
@@ -1513,7 +1498,7 @@ impl<'p> Machine<'p> {
                     default,
                     site_key,
                 } => {
-                    self.uop();
+                    clk.uops += 1;
                     self.count(HwEvent::Branches, 1);
                     let v = self.reg(*sel);
                     let targets = d.targets(*targets);
@@ -1527,12 +1512,12 @@ impl<'p> Machine<'p> {
                     let orig = d.blocks[t as usize].orig;
                     if !self.tp.predict_and_update(*site_key, orig.0 as u64) {
                         self.count(HwEvent::BranchMispredict, 1);
-                        self.tick(self.config.mispredict_penalty);
+                        clk.stall += self.config.mispredict_penalty;
                     }
                     ip = self.goto(d, t);
                 }
                 MicroOp::Ret => {
-                    self.uop();
+                    clk.uops += 1;
                     let frame = self.frames.pop().expect("loop exits on last frame");
                     let rb = frame.reg_base as usize;
                     let ret_val = if self.regs.len() > rb {
@@ -1567,6 +1552,7 @@ impl<'p> Machine<'p> {
             }
         }
 
+        self.settle(&mut clk);
         Ok(self.partial_result())
     }
 

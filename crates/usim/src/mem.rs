@@ -257,16 +257,17 @@ mod tests {
     #[test]
     fn cached_miss_is_invalidated_by_allocation() {
         let mut m = Memory::new();
-        // Prime the one-entry cache with a miss for the page...
+        // Prime the page's translation-cache entry with a miss...
         assert_eq!(m.read_u64(0x5000), 0);
         // ...then allocate it; the write must refill the cached entry.
         m.write_u64(0x5000, 77);
         assert_eq!(m.read_u64(0x5000), 77);
-        // A different page's lookup evicts the entry; the first page must
-        // still read back through the index.
-        m.write_u64(0x9_0000, 88);
+        // Page 0x45 maps to the same one of the 64 entries as page 0x5,
+        // so its lookup evicts the entry; the first page must still read
+        // back through the index.
+        m.write_u64(0x4_5000, 88);
         assert_eq!(m.read_u64(0x5000), 77);
-        assert_eq!(m.read_u64(0x9_0000), 88);
+        assert_eq!(m.read_u64(0x4_5000), 88);
     }
 
     #[test]

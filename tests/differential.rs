@@ -9,9 +9,12 @@
 
 #![cfg(feature = "reference")]
 
-use pp::ir::HwEvent;
+use pp::instrument::{instrument_program, InstrumentOptions};
+use pp::ir::build::ProgramBuilder;
+use pp::ir::{HwEvent, Operand, Program};
 use pp::profiler::{Profiler, RunConfig};
-use pp::usim::{Machine, MachineConfig, NullSink};
+use pp::usim::reference::ReferenceMachine;
+use pp::usim::{ExecError, FaultPlan, Machine, MachineConfig, NullSink, RunResult};
 
 const EVENTS: (HwEvent, HwEvent) = (HwEvent::Insts, HwEvent::DcMiss);
 
@@ -41,24 +44,25 @@ fn cct_bytes(cct: &pp::cct::CctRuntime) -> Vec<u8> {
     v
 }
 
+/// Asserts two machine results (from any interpreter/fusion
+/// combination, complete or stopped) agree exactly.
+fn assert_machines_identical(a: &RunResult, b: &RunResult, ctx: &str) {
+    assert_eq!(a.metrics, b.metrics, "metrics: {ctx}");
+    assert_eq!(a.pics, b.pics, "%pic registers: {ctx}");
+    assert_eq!(
+        a.counter_note, b.counter_note,
+        "wrap-reconciliation note: {ctx}"
+    );
+    assert_eq!(a.uops, b.uops, "uops: {ctx}");
+    assert_eq!(a.fault_log, b.fault_log, "fault log: {ctx}");
+    assert_eq!(a.resident_pages, b.resident_pages, "resident pages: {ctx}");
+    assert_eq!(a.code_bytes, b.code_bytes, "code bytes: {ctx}");
+}
+
 /// Asserts two runs (from any interpreter/fusion combination) agree on
 /// machine state and serialized profiles, byte for byte.
 fn assert_runs_identical(a: &pp::profiler::RunOutcome, b: &pp::profiler::RunOutcome, ctx: &str) {
-    assert_eq!(a.machine.metrics, b.machine.metrics, "metrics: {ctx}");
-    assert_eq!(a.machine.pics, b.machine.pics, "%pic registers: {ctx}");
-    assert_eq!(
-        a.machine.counter_note, b.machine.counter_note,
-        "wrap-reconciliation note: {ctx}"
-    );
-    assert_eq!(a.machine.uops, b.machine.uops, "uops: {ctx}");
-    assert_eq!(
-        a.machine.resident_pages, b.machine.resident_pages,
-        "resident pages: {ctx}"
-    );
-    assert_eq!(
-        a.machine.code_bytes, b.machine.code_bytes,
-        "code bytes: {ctx}"
-    );
+    assert_machines_identical(&a.machine, &b.machine, ctx);
 
     assert_eq!(a.flow.is_some(), b.flow.is_some(), "flow presence: {ctx}");
     if let (Some(fa), Some(fb)) = (&a.flow, &b.flow) {
@@ -101,6 +105,155 @@ fn every_profile_is_bit_identical_across_interpreters() {
 
             assert_runs_identical(&a, &b, &format!("fused vs reference, {ctx}"));
             assert_runs_identical(&u, &a, &format!("unfused vs fused, {ctx}"));
+        }
+    }
+}
+
+/// Micro-op counts each run is stopped at: a dense window early in the
+/// run (set-up loops and the first calls) and one further in (the
+/// kernels), each wider than the loop bodies it crosses, so some stop
+/// lands mid-FP-chain, just before a store, inside a callee and inside
+/// every fused shape the suite executes.
+fn stop_points() -> impl Iterator<Item = u64> {
+    const WINDOW: u64 = 64;
+    (1_000..1_000 + WINDOW).chain(10_000..10_000 + WINDOW)
+}
+
+/// Runs `program` on the arena machine until `plan` stops it.
+fn stopped_run(
+    program: &Program,
+    config: MachineConfig,
+    plan: FaultPlan,
+) -> (Option<ExecError>, RunResult) {
+    let mut m = Machine::new(program, config);
+    m.inject_faults(plan);
+    let err = m.run(&mut NullSink).err();
+    (err, m.partial_result())
+}
+
+/// Stops `program` at each of `stops` on the fused, unfused and
+/// reference machines and asserts they agree exactly.
+fn assert_stops_agree(program: &Program, stops: impl Iterator<Item = u64>, name: &str) {
+    let fused = MachineConfig::default();
+    let unfused = MachineConfig {
+        no_fuse: true,
+        ..fused
+    };
+    for at in stops {
+        let ctx = format!("{name}, abort at {at}");
+        let plan = FaultPlan::default().abort_at_uops(at);
+        let (a_err, a) = stopped_run(program, fused, plan);
+        let (u_err, u) = stopped_run(program, unfused, plan);
+        let mut r = ReferenceMachine::new(program, fused);
+        r.inject_faults(plan);
+        let b_err = r.run(&mut NullSink).err();
+        let b = r.partial_result();
+        assert_eq!(a_err, b_err, "error, fused vs reference: {ctx}");
+        assert_eq!(u_err, a_err, "error, unfused vs fused: {ctx}");
+        assert_machines_identical(&a, &b, &format!("fused vs reference, {ctx}"));
+        assert_machines_identical(&u, &a, &format!("unfused vs fused, {ctx}"));
+    }
+}
+
+/// A loop holding the two fused shapes the suite never executes at test
+/// scale: `bin+branch` and `bin+storer` (register operands).
+fn rare_fused_shapes() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.procedure("main");
+    let e = f.entry_block();
+    let head = f.new_block();
+    let body = f.new_block();
+    let exit = f.new_block();
+    let (i, n, c, v, base) = (
+        f.new_reg(),
+        f.new_reg(),
+        f.new_reg(),
+        f.new_reg(),
+        f.new_reg(),
+    );
+    f.block(e)
+        .mov(i, 0i64)
+        .mov(n, 50i64)
+        .mov(base, 0x10_0000i64)
+        .jump(head);
+    f.block(head)
+        .cmp_lt(c, i, Operand::Reg(n))
+        .branch(c, body, exit);
+    f.block(body)
+        .add(v, v, Operand::Reg(i))
+        .store(Operand::Reg(v), base, 8)
+        .add(i, i, 1i64)
+        .jump(head);
+    f.block(exit).ret();
+    let main = f.finish();
+    pb.finish(main)
+}
+
+/// A fused op is its halves with the loop top's checks between them, and
+/// every exit settles the register-resident clock: wherever
+/// `abort_at_uops` lands, the fused, unfused and reference machines stop
+/// on the same micro-op with the same error, counters and `%pic`s.
+#[test]
+fn partial_results_agree_at_every_stop_point() {
+    for w in pp::workloads::suite(0.01) {
+        for config in [
+            RunConfig::Base,
+            RunConfig::FlowHw { events: EVENTS },
+            RunConfig::CombinedHw { events: EVENTS },
+        ] {
+            let program = match config.mode() {
+                None => w.program.clone(),
+                Some(mode) => {
+                    let options = InstrumentOptions::new(mode).with_events(EVENTS.0, EVENTS.1);
+                    instrument_program(&w.program, options)
+                        .expect("instrument")
+                        .program
+                }
+            };
+            assert_stops_agree(
+                &program,
+                stop_points(),
+                &format!("{} under {config}", w.name),
+            );
+        }
+    }
+    // Every micro-op of this program's whole run, and one past its end.
+    let program = rare_fused_shapes();
+    let full = Machine::new(&program, MachineConfig::default())
+        .run(&mut NullSink)
+        .expect("complete run")
+        .uops;
+    assert_stops_agree(&program, 1..=full + 1, "rare fused shapes");
+}
+
+/// A sample is due whenever the clock passes the next sample point,
+/// and the fused arena checks for it between a fused op's halves too:
+/// every interpreter takes each sample at the same micro-op, so the
+/// sampled stacks and the counters the samples perturb agree exactly.
+#[test]
+fn sampled_runs_are_identical_across_interpreters() {
+    const INTERVAL: u64 = 997;
+    for w in pp::workloads::suite(0.01) {
+        let mut runs = Vec::new();
+        for no_fuse in [false, true] {
+            let config = MachineConfig {
+                no_fuse,
+                ..MachineConfig::default()
+            };
+            let mut stacks = Vec::new();
+            let r = Machine::new(&w.program, config)
+                .run_sampled(&mut NullSink, INTERVAL, &mut |s| stacks.push(s.to_vec()))
+                .unwrap_or_else(|e| panic!("{} (no_fuse: {no_fuse}): {e}", w.name));
+            runs.push((r, stacks));
+        }
+        let mut stacks = Vec::new();
+        let r = ReferenceMachine::new(&w.program, MachineConfig::default())
+            .run_sampled(&mut NullSink, INTERVAL, &mut |s| stacks.push(s.to_vec()))
+            .unwrap_or_else(|e| panic!("reference {}: {e}", w.name));
+        for (run, name) in runs.iter().zip(["fused", "unfused"]) {
+            let ctx = format!("{name} vs reference, {}", w.name);
+            assert_machines_identical(&run.0, &r, &ctx);
+            assert_eq!(run.1, stacks, "sampled stacks: {ctx}");
         }
     }
 }
@@ -162,10 +315,16 @@ fn metrics_snapshots_are_identical_across_interpreters() {
         // byte for byte, snapshot and JSON alike.
         assert_eq!(a.snapshot(), rerun.snapshot(), "rerun: {}", w.name);
         assert_eq!(a.to_json(), rerun.to_json(), "json rerun: {}", w.name);
-        // And the fused fast path actually ran.
-        assert!(
+        // And the fused fast path ran whenever fusion is on (`PP_NO_FUSE=1`
+        // turns it off for the whole test binary).
+        let fusing = Machine::new(&w.program, MachineConfig::default())
+            .decoded()
+            .num_fused_ops()
+            > 0;
+        assert_eq!(
             a.snapshot().contains("counter dispatch.fused_hit"),
-            "{}: no fused dispatches recorded",
+            fusing,
+            "{}: fused dispatches recorded iff fusion is on",
             w.name
         );
     }
@@ -183,7 +342,7 @@ fn block_counts_are_identical_across_interpreters() {
         let mut m = Machine::new(&w.program, config);
         m.run(&mut NullSink)
             .unwrap_or_else(|e| panic!("optimized {}: {e}", w.name));
-        let mut r = pp::usim::reference::ReferenceMachine::new(&w.program, config);
+        let mut r = ReferenceMachine::new(&w.program, config);
         r.run(&mut NullSink)
             .unwrap_or_else(|e| panic!("reference {}: {e}", w.name));
         // The reference records only executed blocks; the dense view
