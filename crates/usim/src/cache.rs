@@ -93,6 +93,10 @@ pub struct AssocCache {
     /// drawn from `clock`.
     lru: Vec<u64>,
     clock: u64,
+    /// State generation: bumped by every access that changes `tags` or
+    /// `lru` (and, on the generic path, by every access), and by
+    /// [`AssocCache::flush`]. Equal generations mean an unchanged cache.
+    generation: u64,
 }
 
 impl AssocCache {
@@ -115,7 +119,23 @@ impl AssocCache {
             tags: vec![INVALID; (sets as usize) * ways],
             lru: vec![0; lru_len],
             clock: 0,
+            generation: 0,
         }
+    }
+
+    /// The state generation. If it is unchanged since some earlier
+    /// point, no access since then has changed which lines are resident
+    /// or which are most recently used — so an access that hit an MRU
+    /// line then would hit it again now, and change nothing.
+    #[inline(always)]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Number of sets. Consecutive lines map to consecutive sets, so a
+    /// span of at most this many lines never puts two in one set.
+    pub fn sets(&self) -> u64 {
+        self.set_mask + 1
     }
 
     /// Accesses `addr`; returns `true` on a hit. Misses fill the LRU way.
@@ -128,7 +148,8 @@ impl AssocCache {
         // 2-way, and a 2-way set's LRU state is one way index: a hit
         // makes the other way the LRU one, a miss fills the LRU way (way
         // 0 in an untouched set) and does the same. That beats the
-        // generic way loop and stamp scan.
+        // generic way loop and stamp scan. A hit on the set's MRU way
+        // leaves the state alone, so only it keeps the generation.
         if self.ways == 2 {
             let way = if self.tags[base] == tag {
                 0
@@ -138,11 +159,16 @@ impl AssocCache {
                 let victim = self.lru[set];
                 self.tags[base + victim as usize] = tag;
                 self.lru[set] = victim ^ 1;
+                self.generation += 1;
                 return false;
             };
-            self.lru[set] = way ^ 1;
+            if self.lru[set] != way ^ 1 {
+                self.lru[set] = way ^ 1;
+                self.generation += 1;
+            }
             return true;
         }
+        self.generation += 1;
         self.clock += 1;
         for w in 0..self.ways {
             if self.tags[base + w] == tag {
@@ -163,6 +189,7 @@ impl AssocCache {
     pub fn flush(&mut self) {
         self.tags.fill(INVALID);
         self.lru.fill(0);
+        self.generation += 1;
     }
 }
 
@@ -225,6 +252,49 @@ mod tests {
         assert!(!c.access(stride));
         assert!(c.access(2 * stride));
         assert!(!c.access(0));
+    }
+
+    #[test]
+    fn generation_moves_exactly_when_state_can_change() {
+        let mut c = AssocCache::new(1024, 32, 2);
+        let stride = 512; // 16 sets of 32-byte lines: same set every 512 B
+        let mut g = c.generation();
+        let mut step = |c: &mut AssocCache, addr, hit, moved, what: &str| {
+            assert_eq!(c.access(addr), hit, "hit/miss: {what}");
+            assert_eq!(c.generation() != g, moved, "generation: {what}");
+            g = c.generation();
+        };
+        step(&mut c, 0, false, true, "cold miss fills");
+        step(&mut c, 0, true, false, "hit on the MRU line");
+        step(&mut c, 8, true, false, "MRU line, other word");
+        step(&mut c, stride, false, true, "miss fills the other way");
+        step(&mut c, 0, true, true, "hit refreshes LRU");
+        step(&mut c, 0, true, false, "hit on the refreshed MRU line");
+        step(&mut c, 2 * stride, false, true, "conflict miss evicts");
+        step(&mut c, 32, false, true, "miss in another set");
+        step(
+            &mut c,
+            2 * stride,
+            true,
+            false,
+            "MRU line after another set moved",
+        );
+        c.flush();
+        assert_ne!(c.generation(), g, "flush");
+
+        // Off the 2-way path every access moves the generation, hits on
+        // the MRU line included.
+        for ways in [1, 4] {
+            let mut c = AssocCache::new(1024, 32, ways);
+            for addr in [0, 0, 0, 32, 32, 0] {
+                let before = c.generation();
+                c.access(addr);
+                assert_ne!(c.generation(), before, "{ways}-way access to {addr}");
+            }
+            let before = c.generation();
+            c.flush();
+            assert_ne!(c.generation(), before, "{ways}-way flush");
+        }
     }
 
     #[test]

@@ -13,12 +13,17 @@
 //! counter control, setjmp/longjmp, calls, limit checkpoints, samples,
 //! run end and every error return). Likewise the `%pic` registers are
 //! derived lazily from the metric totals at observation points rather
-//! than updated on every counted event. Register-file and arena
+//! than updated on every counted event. Block entry costs one compare
+//! while the I-cache provably cannot change: each block remembers the
+//! cache's state generation after its last full line walk, and the walk
+//! is skipped while the generation still matches (`Machine::ifetch`).
+//! The live frame's block, like its instruction pointer, stays out of
+//! the frame stack until the frame calls out. Register-file and arena
 //! accesses execute unchecked in release builds — sound because
 //! [`DecodedProgram::new`] validates every index a micro-op can name,
 //! once, before execution (debug builds keep the checks as
-//! `debug_assert!`s). The cost model is unchanged from the
-//! original tree-walking interpreter, which survives as
+//! `debug_assert!`s). The cost model is unchanged from the original
+//! tree-walking interpreter, which survives as
 //! [`crate::reference::ReferenceMachine`] behind the `reference` feature
 //! and backs the differential test suite.
 
@@ -215,7 +220,10 @@ impl RunResult {
 #[derive(Debug)]
 struct Frame {
     proc: ProcId,
-    /// Dense index of the block being executed.
+    /// Dense index of the block the frame resumes in. Like `ip`, the
+    /// live frame's block is kept outside the frame (in
+    /// [`Machine`]'s `block`); this field is synced only when the frame
+    /// calls out, and read back on `Ret`/`Longjmp`.
     block: BlockIdx,
     /// Resume arena offset. The dispatch loop keeps the live frame's
     /// instruction pointer in a local; this field is synced only when
@@ -275,6 +283,18 @@ pub struct Machine<'p> {
     /// Mirror of the live frame's bases (hot: every operand access).
     reg_base: usize,
     freg_base: usize,
+    /// Dense index of the live frame's block. `goto` writes it on every
+    /// block entry; the frame's own `block` field is written only when
+    /// the frame calls out.
+    block: BlockIdx,
+    /// Block-entry fetch memo, indexed by [`BlockIdx`]: the I-cache
+    /// generation right after the block's last full line walk, or
+    /// `u64::MAX` (never a generation) until a walk records one — which
+    /// a block with two lines in one set never does. While it equals the
+    /// cache's generation, every line of the block is resident and most
+    /// recently used in its set, so the walk would only hit and change
+    /// nothing: block entry skips it.
+    fetched_at: Vec<u64>,
     /// Live setjmp tokens: `(frame depth, owning proc, dense block,
     /// resume arena offset)`. The proc is re-checked on longjmp so a
     /// stale token whose depth was re-occupied by a different
@@ -349,6 +369,8 @@ impl<'p> Machine<'p> {
             fregs: Vec::new(),
             reg_base: 0,
             freg_base: 0,
+            block: 0,
+            fetched_at: vec![u64::MAX; num_blocks],
             setjmps: Vec::new(),
             block_counts: vec![0; num_blocks],
             icall_ic: vec![0; num_icall_sites],
@@ -582,18 +604,59 @@ impl<'p> Machine<'p> {
         self.last_retire = retire;
     }
 
-    /// Fetches a block's code lines through the I-cache; `addr`/`bytes`
-    /// come precomputed from [`crate::decode::BlockMeta`].
-    fn ifetch(&mut self, addr: u64, bytes: u64) {
+    /// True when dense block `t`'s fetch memo shows its lines are all
+    /// still resident and most recently used: fetching them again would
+    /// change neither the I-cache nor the counters.
+    #[inline(always)]
+    fn fetch_is_noop(&self, t: BlockIdx) -> bool {
+        debug_assert!((t as usize) < self.fetched_at.len());
+        // SAFETY: `fetched_at` has one entry per dense block, and every
+        // caller has just indexed `d.blocks` (checked) with `t`.
+        unsafe { *self.fetched_at.get_unchecked(t as usize) == self.icache.generation() }
+    }
+
+    /// Fetches dense block `t`'s code lines through the I-cache unless
+    /// the fetch memo shows the walk cannot change anything.
+    #[inline(always)]
+    fn ifetch(&mut self, d: &DecodedProgram, t: BlockIdx) {
+        if !self.fetch_is_noop(t) {
+            self.ifetch_lines(d, t);
+        }
+    }
+
+    /// The full line walk of [`Machine::ifetch`]. Afterwards each line
+    /// is resident and most recently used in its set unless a later
+    /// line of the block evicted it, which only a block spanning more
+    /// lines than there are sets can do; any other block records the
+    /// generation the walk left, so its next entry is a no-op until some
+    /// access changes the cache.
+    #[inline(never)]
+    fn ifetch_lines(&mut self, d: &DecodedProgram, t: BlockIdx) {
+        let bm = &d.blocks[t as usize];
+        let (addr, end) = (bm.addr, bm.addr + bm.bytes);
         let line = self.config.icache_line;
         let mut a = addr & !(line - 1);
-        while a < addr + bytes {
+        let mut lines = 0;
+        while a < end {
             if !self.icache.access(a) {
                 self.count(HwEvent::IcMiss, 1);
                 self.tick(self.config.icache_miss_penalty);
             }
             a += line;
+            lines += 1;
         }
+        if lines <= self.icache.sets() {
+            self.fetched_at[t as usize] = self.icache.generation();
+        }
+    }
+
+    /// Suspends the live frame at a call: stores the resume point and
+    /// block that `Ret`/`Longjmp` read back.
+    #[inline(always)]
+    fn suspend(&mut self, ip: u32) {
+        let f = self.frames.last_mut().expect("live frame");
+        f.ip = ip;
+        f.block = self.block;
     }
 
     // ----- register and operand access ------------------------------------
@@ -692,11 +755,12 @@ impl<'p> Machine<'p> {
         });
         self.reg_base = reg_base;
         self.freg_base = freg_base;
+        self.block = entry;
         if self.config.trace_blocks {
             self.block_counts[entry as usize] += 1;
         }
-        let (first_op, addr, bytes) = (bm.first_op, bm.addr, bm.bytes);
-        self.ifetch(addr, bytes);
+        let first_op = bm.first_op;
+        self.ifetch(d, entry);
         Ok(first_op)
     }
 
@@ -720,13 +784,12 @@ impl<'p> Machine<'p> {
     /// Transfers control to dense block `t` within the live frame and
     /// returns its first arena offset.
     fn goto(&mut self, d: &DecodedProgram, t: BlockIdx) -> u32 {
-        let bm = &d.blocks[t as usize];
-        self.frames.last_mut().expect("live frame").block = t;
+        let first_op = d.blocks[t as usize].first_op;
+        self.block = t;
         if self.config.trace_blocks {
             self.block_counts[t as usize] += 1;
         }
-        let (first_op, addr, bytes) = (bm.first_op, bm.addr, bm.bytes);
-        self.ifetch(addr, bytes);
+        self.ifetch(d, t);
         first_op
     }
 
@@ -829,13 +892,13 @@ impl<'p> Machine<'p> {
     }
 
     /// The branch predictor's key for the live frame's block. Fused
-    /// branches recover it this way rather than carry it: `goto` keeps
-    /// `frame.block` current, and within a block it can't change before
-    /// the terminator.
+    /// branches recover it this way rather than carry it: every block
+    /// entry (`goto`, `push_frame`, `Ret`, `Longjmp`) keeps `self.block`
+    /// current, and within a block it can't change before the
+    /// terminator.
     #[inline(always)]
     fn live_site_key(&self, d: &DecodedProgram) -> u64 {
-        let block = self.frames.last().expect("live frame").block;
-        d.blocks[block as usize].addr
+        d.blocks[self.block as usize].addr
     }
 
     // ----- cold handlers ---------------------------------------------------
@@ -881,9 +944,9 @@ impl<'p> Machine<'p> {
     #[inline(never)]
     fn exec_setjmp(&mut self, dst: Reg, ip: u32) {
         self.uop();
-        let f = self.frames.last().expect("live frame");
+        let proc = self.frames.last().expect("live frame").proc;
         let token = self.setjmps.len() as i64;
-        self.setjmps.push((self.frames.len(), f.proc, f.block, ip));
+        self.setjmps.push((self.frames.len(), proc, self.block, ip));
         self.set_reg(dst, token);
     }
 
@@ -915,8 +978,8 @@ impl<'p> Machine<'p> {
         self.uops_n(2 * popped as u32 + 2);
         self.frames.truncate(depth);
         sink.unwind(depth);
-        let f = self.frames.last_mut().expect("setjmp frame alive");
-        f.block = block;
+        self.block = block;
+        let f = self.frames.last().expect("setjmp frame alive");
         let (rb, fb, proc) = (f.reg_base as usize, f.freg_base as usize, f.proc);
         let pm = &d.procs[proc.index()];
         self.regs.truncate(rb + pm.num_regs as usize);
@@ -1418,7 +1481,7 @@ impl<'p> Machine<'p> {
                     clk.uops += 1;
                     self.settle(&mut clk);
                     self.count(HwEvent::Calls, 1);
-                    self.frames.last_mut().expect("live frame").ip = ip;
+                    self.suspend(ip);
                     ip = self.call_with(d, *callee, d.args(*args), *ret)?;
                 }
                 MicroOp::CallIndirect {
@@ -1447,7 +1510,7 @@ impl<'p> Machine<'p> {
                         *slot = key;
                         sink.obs_counter("call.ic_miss", 1);
                     }
-                    self.frames.last_mut().expect("live frame").ip = ip;
+                    self.suspend(ip);
                     ip = self.call_with(d, ProcId(v as u32), d.args(*args), *ret)?;
                 }
                 // The counter-control and non-local-return ops sit in the
@@ -1531,15 +1594,16 @@ impl<'p> Machine<'p> {
                         ip = caller.ip;
                         self.reg_base = caller.reg_base as usize;
                         self.freg_base = caller.freg_base as usize;
-                        let caller_block = caller.block;
+                        self.block = caller.block;
                         if let Some(r) = frame.ret_to {
                             self.set_reg(r, ret_val);
                         }
                         // Returning resumes the caller mid-block; its lines
                         // are usually resident, but model the fetch of the
-                        // resume line.
-                        let addr = d.blocks[caller_block as usize].addr;
-                        if !self.icache.access(addr) {
+                        // resume line — unless the caller block's fetch
+                        // memo shows that line is still MRU in its set.
+                        let addr = d.blocks[self.block as usize].addr;
+                        if !self.fetch_is_noop(self.block) && !self.icache.access(addr) {
                             self.count(HwEvent::IcMiss, 1);
                             self.tick(self.config.icache_miss_penalty);
                         }
@@ -2227,6 +2291,42 @@ mod tests {
         // 101 instructions * 4 bytes = 404 bytes ≈ 13 lines, all cold.
         let misses = res.metrics.get(HwEvent::IcMiss);
         assert!((12..=14).contains(&misses), "misses = {misses}");
+    }
+
+    #[test]
+    fn fetch_memo_records_only_blocks_within_one_way() {
+        // A 512 B 2-way I-cache has 8 sets of 32 B lines: a 328 B loop
+        // body spans 11 lines, so some of its sets hold two of its lines
+        // and re-walking it refreshes LRU state. The 8 B loop head fits.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.procedure("main");
+        let (e, h, body, x) = (f.entry_block(), f.new_block(), f.new_block(), f.new_block());
+        let (i, c) = (f.new_reg(), f.new_reg());
+        f.block(e).mov(i, 0i64).jump(h);
+        f.block(h).cmp_lt(c, i, 10i64).branch(c, body, x);
+        let mut bb = f.block(body);
+        for _ in 0..80 {
+            bb.nop();
+        }
+        bb.add(i, i, 1i64).jump(h);
+        f.block(x).ret();
+        let id = f.finish();
+        let prog = pb.finish(id);
+        let mut m = Machine::new(&prog, MachineConfig::tiny_cache());
+        let res = m.run(&mut NullSink).expect("run");
+        let memo = |b: BlockId| {
+            let t = m.decoded.blocks.iter().position(|bm| bm.orig == b);
+            m.fetched_at[t.expect("block decoded")]
+        };
+        assert_eq!(
+            memo(body),
+            u64::MAX,
+            "a block wider than a way never records"
+        );
+        assert_ne!(memo(h), u64::MAX, "a block within one way records");
+        // Both ways of every set together hold the whole 348 B program,
+        // so only its 11 lines' cold misses are charged.
+        assert_eq!(res.metrics.get(HwEvent::IcMiss), 11);
     }
 
     #[test]

@@ -10,15 +10,14 @@ use pp::ir::HwEvent;
 use pp::usim::{Machine, MachineConfig, NullSink, RunResult};
 use pp::workloads::{random_program, RandomSpec};
 
-fn arenas() -> [MachineConfig; 2] {
-    let fused = MachineConfig::default();
-    [
-        fused,
-        MachineConfig {
-            no_fuse: true,
-            ..fused
-        },
-    ]
+/// The fused and unfused arenas on the default machine, and both again
+/// on a 512 B I-cache, where I-cache misses are common and block entry
+/// often takes the full line walk instead of the fetch memo.
+fn arenas() -> Vec<MachineConfig> {
+    [MachineConfig::default(), MachineConfig::tiny_cache()]
+        .into_iter()
+        .flat_map(|c| [c, MachineConfig { no_fuse: true, ..c }])
+        .collect()
 }
 
 fn assert_identities(r: &RunResult, config: &MachineConfig, ctx: &str) {
@@ -56,7 +55,10 @@ fn suite_cycles_are_exactly_uops_plus_penalties() {
             let r = Machine::new(&w.program, config)
                 .run(&mut NullSink)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            let ctx = format!("{} (no_fuse: {})", w.name, config.no_fuse);
+            let ctx = format!(
+                "{} (no_fuse: {}, icache {} B)",
+                w.name, config.no_fuse, config.icache_bytes
+            );
             assert_identities(&r, &config, &ctx);
         }
     }
@@ -76,7 +78,10 @@ fn random_program_cycles_are_exactly_uops_plus_penalties() {
             let r = Machine::new(&prog, config)
                 .run(&mut NullSink)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let ctx = format!("seed {seed} (no_fuse: {})", config.no_fuse);
+            let ctx = format!(
+                "seed {seed} (no_fuse: {}, icache {} B)",
+                config.no_fuse, config.icache_bytes
+            );
             assert_identities(&r, &config, &ctx);
         }
     }

@@ -10,8 +10,8 @@
 #![cfg(feature = "reference")]
 
 use pp::instrument::{instrument_program, InstrumentOptions};
-use pp::ir::build::ProgramBuilder;
-use pp::ir::{HwEvent, Operand, Program};
+use pp::ir::build::{ProcBuilder, ProgramBuilder};
+use pp::ir::{BlockId, HwEvent, Operand, Program};
 use pp::profiler::{Profiler, RunConfig};
 use pp::usim::reference::ReferenceMachine;
 use pp::usim::{ExecError, FaultPlan, Machine, MachineConfig, NullSink, RunResult};
@@ -119,6 +119,20 @@ fn stop_points() -> impl Iterator<Item = u64> {
     (1_000..1_000 + WINDOW).chain(10_000..10_000 + WINDOW)
 }
 
+/// `program` as `config` instruments it (the base configuration leaves
+/// it alone).
+fn instrumented(program: &Program, config: RunConfig) -> Program {
+    match config.mode() {
+        None => program.clone(),
+        Some(mode) => {
+            let options = InstrumentOptions::new(mode).with_events(EVENTS.0, EVENTS.1);
+            instrument_program(program, options)
+                .expect("instrument")
+                .program
+        }
+    }
+}
+
 /// Runs `program` on the arena machine until `plan` stops it.
 fn stopped_run(
     program: &Program,
@@ -201,15 +215,7 @@ fn partial_results_agree_at_every_stop_point() {
             RunConfig::FlowHw { events: EVENTS },
             RunConfig::CombinedHw { events: EVENTS },
         ] {
-            let program = match config.mode() {
-                None => w.program.clone(),
-                Some(mode) => {
-                    let options = InstrumentOptions::new(mode).with_events(EVENTS.0, EVENTS.1);
-                    instrument_program(&w.program, options)
-                        .expect("instrument")
-                        .program
-                }
-            };
+            let program = instrumented(&w.program, config);
             assert_stops_agree(
                 &program,
                 stop_points(),
@@ -224,6 +230,147 @@ fn partial_results_agree_at_every_stop_point() {
         .expect("complete run")
         .uops;
     assert_stops_agree(&program, 1..=full + 1, "rare fused shapes");
+}
+
+/// I-cache shapes where the block-entry fetch memo works hardest: a
+/// 512 B 2-way cache (256 B per way) that many blocks span more than one
+/// way of, so the memo must refuse to record them, and 4-way and 1-way
+/// caches on the generic LRU path, where every access moves the cache's
+/// generation.
+fn stressed_icaches() -> [(&'static str, MachineConfig); 3] {
+    let default = MachineConfig::default();
+    [
+        ("tiny 2-way", MachineConfig::tiny_cache()),
+        (
+            "4-way",
+            MachineConfig {
+                icache_ways: 4,
+                ..default
+            },
+        ),
+        (
+            "1-way",
+            MachineConfig {
+                icache_ways: 1,
+                ..default
+            },
+        ),
+    ]
+}
+
+/// Runs `program` to completion on the reference interpreter and on the
+/// fused and unfused arenas of `machine`, and asserts all three agree.
+fn assert_runs_agree(program: &Program, machine: MachineConfig, ctx: &str) {
+    let r = ReferenceMachine::new(program, machine)
+        .run(&mut NullSink)
+        .unwrap_or_else(|e| panic!("reference {ctx}: {e}"));
+    for no_fuse in [false, true] {
+        let a = Machine::new(program, MachineConfig { no_fuse, ..machine })
+            .run(&mut NullSink)
+            .unwrap_or_else(|e| panic!("no_fuse: {no_fuse}, {ctx}: {e}"));
+        assert_machines_identical(&a, &r, &format!("no_fuse: {no_fuse} vs reference, {ctx}"));
+    }
+}
+
+/// Code bytes between blocks that share an I-cache set in every geometry
+/// tested here: a multiple of every way size (256 B to 16 KB).
+const SET_STRIDE: u64 = 16 * 1024;
+
+/// Fills block `b` with never-executed padding so that, after a block of
+/// `used` bytes, the next block starts [`SET_STRIDE`] further on.
+fn pad(f: &mut ProcBuilder<'_>, b: BlockId, used: u64) {
+    let mut bb = f.block(b);
+    for _ in 0..(SET_STRIDE - used) / 4 - 1 {
+        bb.nop();
+    }
+    bb.ret();
+}
+
+/// A ring of `n >= 2` one-line blocks sharing one I-cache set, run ten
+/// times round, left from its second block into a block in the same set,
+/// and re-entered four times. Skipping a walk that would have refreshed
+/// the set's LRU order changes which line that exit evicts, and so the
+/// next round's misses.
+fn set_ring(n: usize) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.procedure("main");
+    let e = f.entry_block();
+    let mut ring = Vec::new();
+    let mut pads = Vec::new();
+    for _ in 0..=n {
+        pads.push(f.new_block());
+        ring.push(f.new_block());
+    }
+    let exit = ring.pop().expect("n + 1 slots");
+    let done = f.new_block();
+    let (i, j, c) = (f.new_reg(), f.new_reg(), f.new_reg());
+    f.block(e).mov(i, 0i64).mov(j, 0i64).jump(ring[0]);
+    pad(&mut f, pads[0], 12);
+    for k in 0..n {
+        let next = ring[(k + 1) % n];
+        if k == 1 {
+            f.block(ring[k])
+                .add(i, i, 1i64)
+                .cmp_lt(c, i, 10i64)
+                .branch(c, next, exit);
+            pad(&mut f, pads[k + 1], 12);
+        } else {
+            f.block(ring[k]).jump(next);
+            pad(&mut f, pads[k + 1], 4);
+        }
+    }
+    f.block(exit)
+        .mov(i, 0i64)
+        .add(j, j, 1i64)
+        .cmp_lt(c, j, 4i64)
+        .branch(c, ring[0], done);
+    f.block(done).ret();
+    let main = f.finish();
+    pb.finish(main)
+}
+
+/// A self-loop block of 816 B, wider than both ways of a 512 B I-cache:
+/// there its walk misses on every entry, and a memo recorded for it
+/// would skip those misses.
+fn wide_self_loop() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.procedure("main");
+    let (e, w, x) = (f.entry_block(), f.new_block(), f.new_block());
+    let (i, c) = (f.new_reg(), f.new_reg());
+    f.block(e).mov(i, 0i64).jump(w);
+    let mut bb = f.block(w);
+    for _ in 0..200 {
+        bb.nop();
+    }
+    bb.add(i, i, 1i64).cmp_lt(c, i, 20i64).branch(c, w, x);
+    f.block(x).ret();
+    let main = f.finish();
+    pb.finish(main)
+}
+
+/// The reference interpreter walks every line of every block it enters,
+/// so where the fused and unfused arenas skip a walk on the fetch memo
+/// they must still agree with it exactly — `IcMiss`, `Cycles` and the
+/// `%pic`s included — under I-cache shapes far from the default, over the
+/// suite and over two programs built to expose a stale memo.
+#[test]
+fn stressed_icache_runs_are_identical_across_interpreters() {
+    for w in pp::workloads::suite(0.01) {
+        for config in [RunConfig::Base, RunConfig::CombinedHw { events: EVENTS }] {
+            let program = instrumented(&w.program, config);
+            for (shape, machine) in stressed_icaches() {
+                let ctx = format!("{} under {config}, {shape} I-cache", w.name);
+                assert_runs_agree(&program, machine, &ctx);
+            }
+        }
+    }
+    let shapes = [("default", MachineConfig::default())].into_iter();
+    for (shape, machine) in shapes.chain(stressed_icaches()) {
+        let ring = set_ring(machine.icache_ways.max(2));
+        assert_runs_agree(&ring, machine, &format!("set ring, {shape} I-cache"));
+        let wide = wide_self_loop();
+        assert_runs_agree(&wide, machine, &format!("wide self-loop, {shape} I-cache"));
+    }
 }
 
 /// A sample is due whenever the clock passes the next sample point,
